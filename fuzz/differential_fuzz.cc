@@ -28,6 +28,15 @@
 // message, same IngestStats to the byte offset, same snapshot type —
 // under both the skip and the fail-above-rate policies.
 //
+// The shape-cache axis (inference/shape_cache.h): every non-annotating
+// input is inferred a second time, which answers from the cache when the
+// first call succeeded, and must agree with the DOM path the same way. When
+// the document holds a newline, the part before it additionally primes a
+// fresh cache under each of the four option variants, and the part after
+// it is then checked against the DOM path under the selected options —
+// same-signature twins (a malformed scalar, an escaped-equal key, another
+// length or depth budget) must never inherit the primer's verdict.
+//
 // Built with -fsanitize=fuzzer under Clang (see fuzz/CMakeLists.txt); under
 // GCC the same target links fuzz/standalone_main.cc and replays the corpus
 // as a ctest smoke.
@@ -44,6 +53,7 @@
 #include "core/streaming_inferencer.h"
 #include "inference/direct_infer.h"
 #include "inference/infer.h"
+#include "inference/shape_cache.h"
 #include "io/input_source.h"
 #include "io/pipeline_reader.h"
 #include "json/parser.h"
@@ -113,6 +123,42 @@ void CheckStreamParity(std::string_view doc, size_t buffer_bytes,
   }
 }
 
+jsonsi::json::ParseOptions OptionVariant(unsigned variant) {
+  jsonsi::json::ParseOptions options;
+  switch (variant % 4) {
+    case 0:
+      break;  // defaults
+    case 1:
+      options.max_depth = 4;
+      break;
+    case 2:
+      options.max_document_bytes = 16;
+      break;
+    case 3:
+      options.allow_trailing_content = true;
+      break;
+  }
+  return options;
+}
+
+// `got` (from the direct path, possibly a shape-cache hit) must agree with
+// the DOM path's verdict on `doc`.
+void CheckAgainstDom(const jsonsi::Result<jsonsi::types::TypeRef>& got,
+                     std::string_view doc,
+                     const jsonsi::json::ParseOptions& options,
+                     const char* what) {
+  jsonsi::Result<jsonsi::json::ValueRef> parsed =
+      jsonsi::json::Parse(doc, options);
+  if (parsed.ok() != got.ok()) Fail(what, doc);
+  if (!parsed.ok()) {
+    if (parsed.status().message() != got.status().message()) Fail(what, doc);
+    return;
+  }
+  if (!jsonsi::inference::InferType(*parsed.value())->Equals(*got.value())) {
+    Fail(what, doc);
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -125,19 +171,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!doc.empty()) {
     const unsigned selector = static_cast<unsigned char>(doc.front()) % 8;
     annotate = selector >= 4;
-    switch (selector % 4) {
-      case 0:
-        break;  // defaults
-      case 1:
-        options.max_depth = 4;
-        break;
-      case 2:
-        options.max_document_bytes = 16;
-        break;
-      case 3:
-        options.allow_trailing_content = true;
-        break;
-    }
+    options = OptionVariant(selector);
     doc.remove_prefix(1);
   }
   simd::Kernel kernel = simd::Kernel::kScalar;
@@ -162,16 +196,36 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   jsonsi::Result<jsonsi::json::ValueRef> parsed =
       jsonsi::json::Parse(doc, options);
 
+  // A fresh shape cache before each kernel's pass, so both run the full
+  // inference pass.
   jsonsi::annotate::Annotation ann_scalar;
   jsonsi::annotate::Annotation ann_vector;
   simd::SetKernel(simd::Kernel::kScalar);
+  jsonsi::inference::ClearShapeCache();
   jsonsi::Result<jsonsi::types::TypeRef> scalar =
       annotate ? jsonsi::inference::DirectInferType(doc, options, &ann_scalar)
                : jsonsi::inference::DirectInferType(doc, options);
   simd::SetKernel(kernel);
+  jsonsi::inference::ClearShapeCache();
   jsonsi::Result<jsonsi::types::TypeRef> direct =
       annotate ? jsonsi::inference::DirectInferType(doc, options, &ann_vector)
                : jsonsi::inference::DirectInferType(doc, options);
+  if (!annotate) {
+    // Shape-cache axis: the repeat is a hit whenever `direct` succeeded.
+    CheckAgainstDom(jsonsi::inference::DirectInferType(doc, options), doc,
+                    options, "shape-cache repeat mismatch");
+    if (size_t nl = doc.find('\n'); nl != std::string_view::npos) {
+      const std::string_view primer = doc.substr(0, nl);
+      const std::string_view twin = doc.substr(nl + 1);
+      for (unsigned variant = 0; variant < 4; ++variant) {
+        jsonsi::inference::ClearShapeCache();
+        (void)jsonsi::inference::DirectInferType(primer,
+                                                 OptionVariant(variant));
+        CheckAgainstDom(jsonsi::inference::DirectInferType(twin, options),
+                        twin, options, "shape-cache twin mismatch");
+      }
+    }
+  }
 
   // Vector kernel vs scalar: the SIMD parity axis.
   if (scalar.ok() != direct.ok()) Fail("kernel accept/reject split", doc);

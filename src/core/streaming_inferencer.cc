@@ -6,12 +6,13 @@
 #include <utility>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "fusion/fuse_cache.h"
 #include "inference/direct_infer.h"
 #include "inference/infer.h"
+#include "inference/shape_cache.h"
 #include "json/jsonl_chunk.h"
 #include "json/parser.h"
+#include "support/timer.h"
 #include "telemetry/telemetry.h"
 #include "types/interner.h"
 
@@ -54,7 +55,9 @@ void StreamingInferencer::AddType(types::TypeRef type) {
     max_type_size_ = std::max(max_type_size_, s);
   }
   total_type_size_ += static_cast<double>(s);
+  Stopwatch fold;
   fuser_.Add(std::move(type));
+  fuse_seconds_ += fold.ElapsedSeconds();
   ++record_count_;
   JSONSI_COUNTER("stream.records").Increment();
   // Cheap periodic check; the estimate walks no types, so even every record
@@ -72,6 +75,7 @@ size_t StreamingInferencer::EstimateAuxiliaryMemory() const {
   bytes += fuser_.slots().capacity() * sizeof(types::TypeRef);
   bytes += types::TypeInterner::Global().stats().size * 96;
   bytes += fusion::FuseCache::Global().stats().size * 128;
+  bytes += inference::GetShapeCacheStats().bytes;
   return bytes;
 }
 
@@ -85,8 +89,9 @@ void StreamingInferencer::EnforceMemoryBudget() {
   // size() stays meaningful as a lower bound via stats, so keep the set but
   // stop growing it (AddType checks memory_degraded_).
   fuser_.ShrinkToSlots();
-  types::TypeInterner::Global().Clear();
+  types::TypeInterner::Global().Clear();  // other threads' shape caches too
   fusion::FuseCache::Global().Clear();
+  inference::ClearShapeCache();
   if (!memory_degraded_) {
     memory_degraded_ = true;
     JSONSI_COUNTER("stream.memory_degraded").Increment();
@@ -169,6 +174,8 @@ Status StreamingInferencer::AddJsonLines(std::string_view text,
   ingest.end_of_stream = end_of_stream;
   json::IngestStats chunk;
   Status st;
+  Stopwatch watch;
+  const double fuse_before = fuse_seconds_;
   if (UseDirectIngestion()) {
     // DOM-free fused pass: type each line straight off the token stream,
     // behind the same line machinery (policy, report, rate baseline).
@@ -190,10 +197,20 @@ Status StreamingInferencer::AddJsonLines(std::string_view text,
         },
         ingest, &chunk);
   }
+  // AddType timed the folds; the rest of the pass is typing.
+  infer_seconds_ += watch.ElapsedSeconds() - (fuse_seconds_ - fuse_before);
   // Accumulate even on failure, so the report covers the aborted chunk.
   ingest_stats_.Absorb(chunk, options_.max_recorded_errors);
   PublishIngestTelemetry();
   return st;
+}
+
+engine::ThreadPool& StreamingInferencer::Pool(size_t num_threads) {
+  if (!pool_ || pool_->num_threads() != num_threads) {
+    pool_ = std::make_unique<engine::ThreadPool>(num_threads);
+  }
+  pool_->ResetErrors();
+  return *pool_;
 }
 
 Status StreamingInferencer::FinishStream() {
@@ -232,7 +249,8 @@ Status StreamingInferencer::AddJsonLinesParallel(std::string_view text,
   ingest.continuation = ingest_stats_.lines_read > 0;
   ingest.end_of_stream = end_of_stream;
 
-  engine::ThreadPool pool(num_threads);
+  Stopwatch watch;
+  engine::ThreadPool& pool = Pool(num_threads);
   std::vector<json::ChunkSpan> spans =
       json::SplitJsonLines(text, num_threads * 4);
   std::vector<json::ChunkOutcome> outcomes(spans.size());
@@ -248,6 +266,8 @@ Status StreamingInferencer::AddJsonLinesParallel(std::string_view text,
 
   json::IngestStats chunk;
   json::ChunkReplay replay = json::ReplayChunkPolicy(outcomes, ingest, &chunk);
+  infer_seconds_ += watch.ElapsedSeconds();
+  watch.Reset();
 
   // Per-chunk inference shards, run on the pool and folded forward in chunk
   // order. Profiling provenance must carry GLOBAL record ordinals (the
@@ -322,6 +342,7 @@ Status StreamingInferencer::AddJsonLinesParallel(std::string_view text,
     if (profiler_ && shard.profiler) profiler_->Merge(*shard.profiler);
     record_count_ += shard.count;
   }
+  fuse_seconds_ += watch.ElapsedSeconds();
   EnforceMemoryBudget();
 
   // Accumulate even on failure, so the report covers the aborted buffer.
@@ -351,7 +372,8 @@ Status StreamingInferencer::AddJsonLinesParallelDirect(std::string_view text,
   ingest.continuation = ingest_stats_.lines_read > 0;
   ingest.end_of_stream = end_of_stream;
 
-  engine::ThreadPool pool(num_threads);
+  Stopwatch watch;
+  engine::ThreadPool& pool = Pool(num_threads);
   std::vector<json::ChunkSpan> spans =
       json::SplitJsonLines(text, num_threads * 4);
   std::vector<inference::TypedChunkOutcome> outcomes(spans.size());
@@ -368,6 +390,8 @@ Status StreamingInferencer::AddJsonLinesParallelDirect(std::string_view text,
   json::IngestStats chunk;
   json::ChunkReplay replay =
       inference::ReplayChunkPolicy(outcomes, ingest, &chunk);
+  infer_seconds_ += watch.ElapsedSeconds();
+  watch.Reset();
 
   // Per-chunk statistics shards, folded forward in chunk order. Simpler
   // than the DOM arm: this path never runs with a profiler, so no global
@@ -432,6 +456,7 @@ Status StreamingInferencer::AddJsonLinesParallelDirect(std::string_view text,
     }
     record_count_ += shard.count;
   }
+  fuse_seconds_ += watch.ElapsedSeconds();
   EnforceMemoryBudget();
 
   // Accumulate even on failure, so the report covers the aborted buffer.
@@ -461,6 +486,8 @@ void StreamingInferencer::Merge(const StreamingInferencer& other) {
                           other.distinct_hashes_.end());
   if (profiler_ && other.profiler_) profiler_->Merge(*other.profiler_);
   record_count_ += other.record_count_;
+  infer_seconds_ += other.infer_seconds_;
+  fuse_seconds_ += other.fuse_seconds_;
   // Shards are distinct streams; their reports concatenate (line numbers
   // shift past this side's totals, like sequential chunks).
   ingest_stats_.Absorb(other.ingest_stats_, options_.max_recorded_errors);
@@ -471,7 +498,10 @@ Schema StreamingInferencer::Snapshot() const {
   JSONSI_COUNTER("stream.snapshots").Increment();
   PublishIngestTelemetry();
   Schema schema;
+  Stopwatch finish;
   schema.type = fuser_.Finish();
+  schema.stats.infer_seconds = infer_seconds_;
+  schema.stats.fuse_seconds = fuse_seconds_ + finish.ElapsedSeconds();
   schema.stats.record_count = record_count_;
   schema.stats.distinct_type_count = distinct_hashes_.size();
   schema.stats.min_type_size = min_type_size_;

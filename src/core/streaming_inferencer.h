@@ -27,6 +27,7 @@
 
 #include "annotate/counted_schema.h"
 #include "core/schema_inferencer.h"
+#include "engine/thread_pool.h"
 #include "fusion/tree_fuser.h"
 #include "json/jsonl.h"
 #include "json/value.h"
@@ -118,7 +119,9 @@ class StreamingInferencer {
   void Merge(const StreamingInferencer& other);
 
   /// Consistent snapshot of the current schema + statistics. O(log n) fuse
-  /// work; ingestion may continue afterwards.
+  /// work; ingestion may continue afterwards. The stats' infer/fuse seconds
+  /// cover this object's text ingestion so far (not restored from a
+  /// checkpoint): typing and policy replay, then folding.
   Schema Snapshot() const;
 
   /// Records successfully ingested so far.
@@ -144,6 +147,11 @@ class StreamingInferencer {
   /// a lower bound from then on.
   bool memory_degraded() const { return memory_degraded_; }
 
+  /// Rough byte estimate of the resident auxiliary state the soft watermark
+  /// governs: hash set, dedup buffer, and the process-global caches
+  /// (interner, fuse cache, every thread's shape cache).
+  size_t EstimateAuxiliaryMemory() const;
+
  private:
   // Crash-safe snapshot/restore of the full stream state (core/checkpoint.h
   // owns the on-disk format; it reads and writes the private fields below).
@@ -163,12 +171,13 @@ class StreamingInferencer {
   /// DOM-free chunk-parallel ingestion (AddJsonLinesParallel's direct arm).
   Status AddJsonLinesParallelDirect(std::string_view text, size_t num_threads,
                                     bool end_of_stream);
+  /// The stream's worker pool, (re)built only when the thread count
+  /// changes, so worker threads — and their thread-local shape caches and
+  /// hit-rate probes — live across batches. Its error channel is reset.
+  engine::ThreadPool& Pool(size_t num_threads);
   /// Mirrors the cumulative ingestion report into stream.* gauges (no-op
   /// while telemetry is disabled).
   void PublishIngestTelemetry() const;
-  /// Rough byte estimate of the resident auxiliary state the soft watermark
-  /// governs (hash set, dedup buffer, global caches).
-  size_t EstimateAuxiliaryMemory() const;
   /// Checks the soft watermark and sheds state once when it is crossed.
   void EnforceMemoryBudget();
 
@@ -185,6 +194,11 @@ class StreamingInferencer {
   // Sticky soft-watermark latch: once crossed, the distinct-type set stops
   // growing and the dedup buffer stays flushed.
   bool memory_degraded_ = false;
+  // Wall-clock of text ingestion: typing (with the policy replay) and
+  // folding, reported by Snapshot().
+  double infer_seconds_ = 0;
+  double fuse_seconds_ = 0;
+  std::unique_ptr<engine::ThreadPool> pool_;
 };
 
 }  // namespace jsonsi::core

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "inference/shape_cache.h"
 #include "json/line_scan.h"
 #include "json/simd/kernel.h"
 #include "json/tokenizer.h"
@@ -30,12 +31,13 @@ namespace {
 // position as the recursive parser, so statuses match byte for byte
 // (differential-tested). Tokens are pulled only at value positions — at
 // key and separator positions the parser reports grammar errors before
-// lexing anything, so this driver peeks instead.
+// lexing anything, so it peeks instead. The tokenizer must sit at
+// the document's first byte.
 class DirectInferrer {
  public:
-  DirectInferrer(std::string_view text, const json::ParseOptions& options,
+  DirectInferrer(Tokenizer& tok, const json::ParseOptions& options,
                  annotate::Annotation* ann)
-      : tok_(text),
+      : tok_(tok),
         options_(options),
         intern_(types::InterningEnabled()),
         ann_(ann) {
@@ -322,7 +324,7 @@ class DirectInferrer {
     return intern_ ? types::TypeInterner::Global().Intern(std::move(t)) : t;
   }
 
-  Tokenizer tok_;
+  Tokenizer& tok_;
   json::ParseOptions options_;
   const bool intern_;
   std::vector<Frame> frames_;
@@ -342,6 +344,115 @@ class DirectInferrer {
   bool has_pending_scalar_ = false;
 };
 
+// Writes the shape-cache signature of the document under `tok` (at its
+// first byte) into `sig`: the ParseOptions fields that decide the outcome,
+// then one code per token, where a string followed by ':' (a record key)
+// adds 'K', its raw length as a varint and its raw bytes at the colon. The
+// encoding decodes unambiguously, so equal signatures mean equal token
+// sequences and equal keys. True and false share a code: both type as
+// Bool. False when the tokenizer rejects the text (the caller re-runs the
+// full inference pass for its error) or the signature outgrows the cap.
+bool BuildSignature(Tokenizer& tok, const json::ParseOptions& options,
+                    std::string* sig) {
+  sig->clear();
+  const uint64_t max_depth = options.max_depth;
+  sig->append(reinterpret_cast<const char*>(&max_depth), sizeof(max_depth));
+  sig->push_back(options.allow_trailing_content ? 'T' : 'F');
+  Token t;
+  std::string_view last_string;
+  bool after_string = false;
+  for (;;) {
+    if (!tok.Next(&t).ok()) return false;
+    char code = 0;
+    switch (t.kind) {
+      case TokenKind::kEnd:
+        return true;
+      case TokenKind::kNull:
+        code = '0';
+        break;
+      case TokenKind::kTrue:
+      case TokenKind::kFalse:
+        code = 'b';
+        break;
+      case TokenKind::kNumber:
+        code = 'n';
+        break;
+      case TokenKind::kString:
+        code = 's';
+        break;
+      case TokenKind::kLBrace:
+        code = '{';
+        break;
+      case TokenKind::kRBrace:
+        code = '}';
+        break;
+      case TokenKind::kLBracket:
+        code = '[';
+        break;
+      case TokenKind::kRBracket:
+        code = ']';
+        break;
+      case TokenKind::kComma:
+        code = ',';
+        break;
+      case TokenKind::kColon:
+        code = ':';
+        break;
+    }
+    if (code == ':' && after_string) {
+      // 'K', at most ten varint bytes, the key.
+      if (sig->size() + 11 + last_string.size() > kShapeSignatureMaxBytes) {
+        return false;
+      }
+      sig->push_back('K');
+      for (uint64_t n = last_string.size(); ; n >>= 7) {
+        sig->push_back(static_cast<char>((n & 0x7f) | (n >= 0x80 ? 0x80 : 0)));
+        if (n < 0x80) break;
+      }
+      sig->append(last_string);
+    } else {
+      if (sig->size() >= kShapeSignatureMaxBytes) return false;
+      sig->push_back(code);
+    }
+    after_string = t.kind == TokenKind::kString;
+    if (after_string) last_string = t.text;
+  }
+}
+
+// One document: the full DirectInferrer pass when annotating or with
+// interning off, otherwise a shape-cache lookup first and the full pass on a
+// miss.
+Result<TypeRef> InferDocument(std::string_view text,
+                              const json::ParseOptions& options,
+                              annotate::Annotation* ann) {
+  Tokenizer tok(text);
+  if (ann != nullptr || !types::InterningEnabled()) {
+    return DirectInferrer(tok, options, ann).Infer();
+  }
+  ShapeCache& cache = ShapeCache::ForThisThread();
+  if (!cache.Admit()) {
+    JSONSI_COUNTER("infer.shape.bypassed").Increment();
+    return DirectInferrer(tok, options, nullptr).Infer();
+  }
+  std::string& sig = cache.SignatureBuffer();
+  const bool keyed = BuildSignature(tok, options, &sig);
+  uint64_t hash = 0;
+  if (keyed) {
+    hash = ShapeCache::Hash(sig);
+    if (const TypeRef* hit = cache.Find(hash, sig)) {
+      JSONSI_COUNTER("infer.shape.hits").Increment();
+      return *hit;
+    }
+  } else {
+    cache.RecordMiss();
+  }
+  JSONSI_COUNTER("infer.shape.misses").Increment();
+  tok.Rewind();
+  Result<TypeRef> result = DirectInferrer(tok, options, nullptr).Infer();
+  if (keyed && result.ok()) cache.Insert(hash, sig, result.value());
+  return result;
+}
+
 }  // namespace
 
 Result<TypeRef> DirectInferType(std::string_view text,
@@ -356,8 +467,7 @@ Result<TypeRef> DirectInferType(std::string_view text,
       text.size() > options.max_document_bytes) {
     return json::DocumentTooLarge(text.size(), options.max_document_bytes);
   }
-  DirectInferrer inferrer(text, options, ann);
-  Result<TypeRef> result = inferrer.Infer();
+  Result<TypeRef> result = InferDocument(text, options, ann);
   if (telemetry::Enabled()) {
     JSONSI_COUNTER("infer.direct.bytes").Add(text.size());
     json::simd::AddKernelBytes(text.size());

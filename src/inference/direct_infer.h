@@ -38,7 +38,9 @@ namespace jsonsi::inference {
 /// Infers the Figure 4 type of one JSON document without building a DOM.
 /// Equivalent to InferType(*Parse(text, options)) — same type (TypeEquals,
 /// and pointer-identical under interning), same Status on malformed input —
-/// in one pass and O(depth) auxiliary space.
+/// in one pass and O(depth) auxiliary space. With interning on, a record
+/// whose shape this thread has typed before is answered from the shape
+/// cache (inference/shape_cache.h) after a tokenizer-only validation pass.
 Result<types::TypeRef> DirectInferType(std::string_view text,
                                        const json::ParseOptions& options = {});
 

@@ -26,6 +26,13 @@ ssize_t ReadFull(int fd, char* buf, size_t len) {
   }
 }
 
+Result<std::unique_ptr<InputSource>> OpenStream(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("cannot open file: " + path);
+  return std::unique_ptr<InputSource>(
+      new StreamSource(path, fd, /*close_fd=*/true));
+}
+
 }  // namespace
 
 bool ParseIoMode(std::string_view name, IoMode* mode) {
@@ -229,13 +236,16 @@ Result<std::unique_ptr<InputSource>> OpenInputSource(
       if (!file.ok()) return file.status();
       return std::unique_ptr<InputSource>(std::move(file).value());
     }
-    case IoMode::kStream: {
-      int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) return Status::NotFound("cannot open file: " + path);
-      return std::unique_ptr<InputSource>(
-          new StreamSource(path, fd, /*close_fd=*/true));
-    }
+    case IoMode::kStream:
+      return OpenStream(path);
     case IoMode::kAuto: {
+      // FIFOs (`jsi infer <(cmd)`) and character devices (/dev/null) can
+      // be neither mapped nor pread: stream them like stdin.
+      struct stat st;
+      if (::stat(path.c_str(), &st) == 0 &&
+          (S_ISFIFO(st.st_mode) || S_ISCHR(st.st_mode))) {
+        return OpenStream(path);
+      }
       Result<std::unique_ptr<MmapSource>> mapped = MmapSource::Open(path);
       if (mapped.ok()) {
         return std::unique_ptr<InputSource>(std::move(mapped).value());

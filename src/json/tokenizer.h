@@ -88,6 +88,14 @@ class Tokenizer {
   void SkipWhitespace() { cursor_.SkipWhitespace(); }
   size_t pos() const { return cursor_.pos; }
 
+  /// Moves the cursor back to the first byte, keeping the stage-1 index, so
+  /// a second pass over the same document skips rebuilding it.
+  void Rewind() {
+    cursor_.pos = 0;
+    cursor_.line = 1;
+    cursor_.line_start = 0;
+  }
+
   /// Error at the current cursor position, Parse(...)-formatted.
   Status ErrorHere(const std::string& message) const {
     return cursor_.Error(message);

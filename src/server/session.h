@@ -48,7 +48,8 @@ struct SessionConfig {
   bool resume = false;
   /// Worker threads per ingest batch: 1 = serial, 0 = hardware concurrency,
   /// N = chunk-parallel on N workers (AddJsonLinesParallel semantics —
-  /// byte-identical results either way).
+  /// byte-identical results either way). Parallel sessions keep their
+  /// workers for the session's lifetime.
   size_t ingest_threads = 1;
   /// Repository source name to publish the final schema under on close
   /// ("" = do not publish).

@@ -95,6 +95,7 @@ void TypeInterner::Clear() {
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
   pass_through_.store(0, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace jsonsi::types

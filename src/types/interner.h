@@ -95,6 +95,13 @@ class TypeInterner {
   /// remain valid (they own their nodes); only future sharing is reset.
   void Clear();
 
+  /// Number of Clear() calls so far. Caches that hold residents (the shape
+  /// cache in inference/shape_cache.h) drop their entries when it moves, so
+  /// they never hand out a representative the table has forgotten.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_relaxed);
+  }
+
   const InternerOptions& options() const { return options_; }
 
  private:
@@ -117,6 +124,7 @@ class TypeInterner {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> pass_through_{0};
+  std::atomic<uint64_t> generation_{0};
 };
 
 /// Process-global switch for the whole interning/memoization stack (type

@@ -127,6 +127,38 @@ if "$JSI" infer "$TMP/gh.jsonl" --io pwrite > /dev/null 2>&1; then
   echo "expected unknown --io mode to be a usage error"; exit 1
 fi
 
+# non-regular inputs stream under --io auto: a FIFO equals the file run, and
+# /dev/null is an empty input.
+mkfifo "$TMP/fifo.jsonl"
+cat "$TMP/gh.jsonl" > "$TMP/fifo.jsonl" &
+"$JSI" infer "$TMP/fifo.jsonl" > "$TMP/io_fifo.txt"
+wait
+cmp "$TMP/schema_plain.txt" "$TMP/io_fifo.txt"
+: > "$TMP/empty.jsonl"
+"$JSI" infer "$TMP/empty.jsonl" > "$TMP/empty_file.txt"
+"$JSI" infer /dev/null > "$TMP/empty_devnull.txt"
+cmp "$TMP/empty_file.txt" "$TMP/empty_devnull.txt"
+
+# the shape cache and the rest of the memo stack change no byte of output,
+# on every datagen profile.
+for profile in github twitter wikidata nytimes; do
+  "$JSI" gen "$profile" 300 > "$TMP/$profile.jsonl"
+  "$JSI" infer "$TMP/$profile.jsonl" > "$TMP/$profile.intern.txt"
+  "$JSI" infer "$TMP/$profile.jsonl" --no-intern > "$TMP/$profile.nointern.txt"
+  cmp "$TMP/$profile.intern.txt" "$TMP/$profile.nointern.txt"
+done
+grep -q "^shape cache:" "$TMP/stats.txt"
+
+# a checkpointed (streamed) run reports real inference and fusion timings.
+"$JSI" gen wikidata 2000 > "$TMP/wd.jsonl"
+"$JSI" infer "$TMP/wd.jsonl" --checkpoint "$TMP/cp_wd.txt" --stats \
+  > /dev/null 2> "$TMP/wd_stats.txt"
+grep -q "^inference:" "$TMP/wd_stats.txt"
+grep -q "^fusion:" "$TMP/wd_stats.txt"
+if grep -Eq "^(inference|fusion): +0\.000s" "$TMP/wd_stats.txt"; then
+  echo "expected non-zero streamed timings"; cat "$TMP/wd_stats.txt"; exit 1
+fi
+
 # diff --data: variant drift between two annotated datasets exits 2.
 printf '%s\n' '{"type":"a","x":1}' '{"type":"b","y":"s"}' '{"type":"c","z":true}' \
   > "$TMP/tagged2.jsonl"

@@ -323,5 +323,52 @@ TEST(StreamingTest, WorksAtDatasetScale) {
   EXPECT_TRUE(snapshot.type->is_record());
 }
 
+std::string WikidataLines(uint64_t seed, size_t n) {
+  std::string text;
+  for (const auto& v :
+       datagen::MakeGenerator(datagen::DatasetId::kWikidata, seed)
+           ->GenerateMany(n)) {
+    text += json::ToJson(v);
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(StreamingTest, SnapshotReportsIngestTimings) {
+  const std::string text = WikidataLines(5, 300);
+  StreamingInferencer serial, parallel;
+  ASSERT_TRUE(serial.AddJsonLines(text).ok());
+  ASSERT_TRUE(parallel.AddJsonLinesParallel(text, 3).ok());
+  for (const StreamingInferencer* s : {&serial, &parallel}) {
+    const Schema snapshot = s->Snapshot();
+    EXPECT_GT(snapshot.stats.infer_seconds, 0.0);
+    EXPECT_GT(snapshot.stats.fuse_seconds, 0.0);
+  }
+}
+
+TEST(StreamingTest, OnePoolServesEveryBatch) {
+  // Batches at changing thread counts (the pool is rebuilt only on a
+  // change) fold to the one-shot schema.
+  const std::string text = WikidataLines(6, 240);
+  StreamingInferencer one_shot, batched;
+  ASSERT_TRUE(one_shot.AddJsonLines(text).ok());
+  size_t pos = 0;
+  for (size_t threads : {2u, 2u, 3u, 3u, 2u}) {
+    size_t end = pos;
+    for (int lines = 0; lines < 48 && end < text.size(); ++lines) {
+      end = text.find('\n', end) + 1;
+    }
+    ASSERT_TRUE(batched
+                    .AddJsonLinesParallel(text.substr(pos, end - pos), threads,
+                                          /*end_of_stream=*/false)
+                    .ok());
+    pos = end;
+  }
+  ASSERT_TRUE(batched.FinishStream().ok());
+  EXPECT_EQ(pos, text.size());
+  EXPECT_EQ(batched.record_count(), one_shot.record_count());
+  EXPECT_TRUE(batched.Snapshot().type->Equals(*one_shot.Snapshot().type));
+}
+
 }  // namespace
 }  // namespace jsonsi::core

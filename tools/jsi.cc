@@ -141,6 +141,7 @@
 #include "support/string_util.h"
 #include "telemetry/telemetry.h"
 #include "fusion/fuse_cache.h"
+#include "inference/shape_cache.h"
 #include "core/io_pump.h"
 #include "io/input_source.h"
 #include "io/pipeline_reader.h"
@@ -295,6 +296,14 @@ void PrintInferStats(const Schema& schema, size_t threads) {
               << "% intern hits (" << is.size << " live) / "
               << jsonsi::FormatFixed(cs.HitRate() * 100, 1)
               << "% fuse-cache hits (" << cs.size << " live)\n";
+    auto ss = jsonsi::inference::GetShapeCacheStats();
+    std::cerr << "shape cache:    "
+              << jsonsi::FormatFixed(ss.HitRate() * 100, 1) << "% hits ("
+              << ss.entries << " live, "
+              << jsonsi::WithThousands(static_cast<int64_t>(ss.bytes))
+              << " bytes) / "
+              << jsonsi::WithThousands(static_cast<int64_t>(ss.bypassed))
+              << " bypassed\n";
   }
 }
 
